@@ -4,9 +4,10 @@
 //! psa analyze <file.c> [--level L1|L2|L3|auto] [--function main]
 //!             [--dot DIR] [--stmt-dump] [--parallel-report]
 //!             [--budget-nodes N] [--budget-rsgs N] [--budget-ms N]
-//!             [--trace FILE] [--threads N]
+//!             [--trace FILE]
 //! psa ir <file.c> [--function main]
 //! psa bench-code <matvec|matmat|lu|barnes-hut|treeadd|power|em3d|bisort|tsp|health|perimeter|voronoi> [--level ...]
+//! psa serve [--load-cache FILE] [--save-cache FILE]
 //! ```
 //!
 //! Inputs may define multiple functions: non-recursive calls are inlined
@@ -81,7 +82,6 @@ struct Flags {
     trace: Option<String>,
     checks: Vec<Check>,
     seeds: usize,
-    threads: Option<usize>,
     save_cache: Option<String>,
     load_cache: Option<String>,
 }
@@ -120,7 +120,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         trace: None,
         checks: Vec::new(),
         seeds: 3,
-        threads: None,
         save_cache: None,
         load_cache: None,
     };
@@ -190,10 +189,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 i += 1;
                 f.seeds = parse_count(args, i, "--seeds")?.max(1);
             }
-            "--threads" => {
-                i += 1;
-                f.threads = Some(parse_count(args, i, "--threads")?.max(1));
-            }
             "--save-cache" => {
                 i += 1;
                 f.save_cache = Some(args.get(i).ok_or("--save-cache needs a file")?.clone());
@@ -260,8 +255,27 @@ fn run(args: &[String]) -> Result<(), String> {
             analyze(&src, which, flags)
         }
         "serve" => {
-            let flags = parse_flags(&args[1..])?;
-            serve(flags)
+            // The daemon takes only its cache files; every analysis knob
+            // arrives in the request params.
+            let (mut load, mut save) = (None, None);
+            let mut i = 1;
+            while i < args.len() {
+                let slot = match args[i].as_str() {
+                    "--load-cache" => &mut load,
+                    "--save-cache" => &mut save,
+                    other => {
+                        return Err(format!(
+                            "serve: unknown flag `{other}` (usage: {SERVE_USAGE})"
+                        ))
+                    }
+                };
+                let path = args
+                    .get(i + 1)
+                    .ok_or_else(|| format!("{} needs a file", args[i]))?;
+                *slot = Some(path.clone());
+                i += 2;
+            }
+            serve(load.as_deref(), save.as_deref())
         }
         "help" | "--help" | "-h" => {
             println!("{}", usage());
@@ -272,41 +286,38 @@ fn run(args: &[String]) -> Result<(), String> {
 }
 
 fn usage() -> String {
-    "usage:\n  psa analyze <file.c> [--level L1|L2|L3|auto] [--function NAME] \
+    format!(
+        "usage:\n  psa analyze <file.c> [--level L1|L2|L3|auto] [--function NAME] \
      [--dot DIR] [--stmt-dump] [--parallel-report] [--leak-report] [--annotate] [--json] [--stats]\n  \
      \x20            [--budget-nodes N] [--budget-rsgs N] [--budget-ms N] [--trace FILE]\n  \
-     \x20            [--check asserts,memory] [--seeds N] [--threads N]\n  \
+     \x20            [--check asserts,memory] [--seeds N]\n  \
      \x20            [--save-cache FILE] [--load-cache FILE]\n  psa ir <file.c> [--function NAME]\n  \
      psa bench-code <matvec|matmat|lu|barnes-hut|treeadd|power|em3d|bisort|tsp|health|perimeter|voronoi> [flags]\n  \
-     psa serve [--threads N] [--load-cache FILE] [--save-cache FILE]\n  \
+     {SERVE_USAGE}\n  \
      \x20       (newline-delimited JSON requests on stdin; see DESIGN.md \u{00a7}13)"
-        .to_string()
+    )
 }
+
+const SERVE_USAGE: &str = "psa serve [--load-cache FILE] [--save-cache FILE]";
 
 /// `psa serve`: resident daemon on stdin/stdout. `--load-cache` warms the
 /// shared tables before the first request; `--save-cache` snapshots them
 /// after the loop exits (EOF or a `shutdown` request).
-fn serve(flags: Flags) -> Result<(), String> {
-    let tables = match &flags.load_cache {
+fn serve(load_cache: Option<&str>, save_cache: Option<&str>) -> Result<(), String> {
+    let tables = match load_cache {
         Some(path) => {
             std::sync::Arc::new(psa_rsg::snapshot::load(path).map_err(|e| e.to_string())?)
         }
         None => std::sync::Arc::new(psa_rsg::SharedTables::new()),
     };
-    let server = psa_core::serve::Server::with_tables(
-        tables,
-        psa_core::serve::ServeOptions {
-            parallel: flags.threads.is_some(),
-            parallel_threads: flags.threads,
-        },
-    );
+    let server = psa_core::serve::Server::with_tables(tables);
     let stdin = std::io::stdin();
     // `Stdout` (not `StdoutLock`) is `Send`, which the per-request handler
     // threads need; the serve loop serializes writes under its own lock.
     server
         .serve(stdin.lock(), std::io::stdout())
         .map_err(|e| format!("serve I/O: {e}"))?;
-    if let Some(path) = &flags.save_cache {
+    if let Some(path) = save_cache {
         let tables = server.tables();
         psa_rsg::snapshot::save(&tables, path).map_err(|e| e.to_string())?;
         eprintln!(
@@ -419,8 +430,6 @@ fn analyze(src: &str, name: &str, flags: Flags) -> Result<(), String> {
         level: flags.level,
         budget: flags.budget,
         trace: flags.trace.is_some(),
-        parallel: flags.threads.is_some(),
-        parallel_threads: flags.threads,
         tables,
         ..Default::default()
     };
@@ -537,7 +546,12 @@ fn analyze(src: &str, name: &str, flags: Flags) -> Result<(), String> {
     };
 
     if flags.json {
-        let mut report = psa_core::report::build_report(analyzer.ir(), &result);
+        let mut report = match &memory_reports {
+            Some((abs, _)) => {
+                psa_core::report::build_report_with_memory(analyzer.ir(), &result, abs)
+            }
+            None => psa_core::report::build_report(analyzer.ir(), &result),
+        };
         if let Some(events) = &trace_events {
             report.trace = Some(psa_core::trace::summarize(events, Some(analyzer.ir())));
         }

@@ -148,6 +148,55 @@ fn unknown_flag_fails_cleanly() {
 }
 
 #[test]
+fn serve_rejects_analyze_only_flags() {
+    // Every analysis knob arrives in the request params; a daemon flag
+    // other than the cache files is a usage error, not silently ignored.
+    for args in [
+        &["serve", "--level", "L3", "--check", "memory", "--dot", "x"][..],
+        &["serve", "--json"][..],
+    ] {
+        let out = psa()
+            .args(args)
+            .stdin(std::process::Stdio::null())
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().count(), 1, "one-line error: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag `{}`", args[1])),
+            "{stderr}"
+        );
+        assert!(stderr.contains("--load-cache FILE"), "{stderr}");
+    }
+    let missing = psa()
+        .args(["serve", "--save-cache"])
+        .stdin(std::process::Stdio::null())
+        .output()
+        .unwrap();
+    assert!(!missing.status.success());
+    assert!(String::from_utf8_lossy(&missing.stderr).contains("--save-cache needs a file"));
+
+    // The cache flags themselves still work: EOF on stdin ends the loop
+    // and the tables are snapshotted.
+    let cache = std::env::temp_dir()
+        .join("psa-cli-tests")
+        .join("serve_flags.cache");
+    std::fs::create_dir_all(cache.parent().unwrap()).unwrap();
+    let out = psa()
+        .args(["serve", "--save-cache", cache.to_str().unwrap()])
+        .stdin(std::process::Stdio::null())
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(cache.exists());
+}
+
+#[test]
 fn budget_deadline_exits_nonzero_with_partial_report() {
     let out = psa()
         .args(["bench-code", "lu", "--budget-ms", "0"])

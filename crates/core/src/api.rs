@@ -17,12 +17,6 @@ pub struct AnalysisOptions {
     pub level: Option<Level>,
     /// Resource budget.
     pub budget: Budget,
-    /// Parallel per-graph transfers.
-    pub parallel: bool,
-    /// Pin the parallel fan-out to exactly this many worker threads
-    /// (`None` = available parallelism). Only meaningful with `parallel`;
-    /// the knob behind the bench-report `--threads` scaling sweeps.
-    pub parallel_threads: Option<usize>,
     /// Inline user-function calls before lowering (the paper's manual
     /// preprocessing, automated). Programs without calls are unaffected.
     pub inline: bool,
@@ -45,8 +39,6 @@ impl Default for AnalysisOptions {
             function: "main".to_string(),
             level: Some(Level::L1),
             budget: Budget::default(),
-            parallel: false,
-            parallel_threads: None,
             inline: true,
             trace: false,
             tables: None,
@@ -165,8 +157,6 @@ impl Analyzer {
         EngineConfig {
             level,
             budget: self.options.budget,
-            parallel: self.options.parallel,
-            parallel_threads: self.options.parallel_threads,
             ..EngineConfig::at_level(level)
         }
     }

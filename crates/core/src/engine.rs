@@ -11,12 +11,9 @@
 //!
 //! The engine stores the RSRSG *after every statement* — the paper's
 //! "RSRSG associated with each sentence" — plus timing and structural-byte
-//! accounting for the Table 1 harness. Setting [`EngineConfig::parallel`]
-//! fans the per-graph statement transfers of large RSRSGs out across
-//! threads (std scoped threads) with dynamic work claiming; results are
-//! re-unioned in canonical order, so parallel and sequential runs produce
-//! identical RSRSGs. All paths — sequential, fan-out workers, and the
-//! progressive driver when it reuses one [`ShapeCtx`] — share the run-wide
+//! accounting for the Table 1 harness. Statement transfers run
+//! sequentially, one graph at a time, in input order. Every run — and the
+//! progressive driver when it reuses one [`ShapeCtx`] — shares the run-wide
 //! interner, subsumption memo, and transfer memo of
 //! [`psa_rsg::intern::SharedTables`].
 //!
@@ -35,11 +32,10 @@ use crate::semantics::{
 };
 use crate::stats::{AnalysisStats, Budget};
 use psa_ir::{BlockId, FuncIr, Stmt, StmtId, Terminator};
-use psa_rsg::intern::{CancelCause, CanonEntry, CanonId};
+use psa_rsg::intern::{CancelCause, CanonId};
 use psa_rsg::trace::TraceKind;
-use psa_rsg::{Level, Rsg, ShapeCtx};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use psa_rsg::{Level, ShapeCtx};
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 /// Engine configuration.
@@ -49,15 +45,6 @@ pub struct EngineConfig {
     pub level: Level,
     /// Resource budget.
     pub budget: Budget,
-    /// Process the graphs of large RSRSGs on multiple threads.
-    pub parallel: bool,
-    /// Minimum graphs in an RSRSG before parallel fan-out pays off.
-    pub parallel_threshold: usize,
-    /// Worker-thread count for parallel fan-out. `None` (the default) uses
-    /// the machine's available parallelism; `Some(n)` pins exactly `n`
-    /// workers — the knob behind the bench-report `--threads` scaling
-    /// sweeps. Capped at the fan-out width either way.
-    pub parallel_threads: Option<usize>,
     /// Soft cap on graphs per RSRSG before the widening join kicks in
     /// (force-joining graphs with equal widening signatures). Keeps the
     /// analysis practicable on codes whose control flow fragments the
@@ -85,10 +72,10 @@ pub struct EngineConfig {
     /// Memoize per-graph statement transfers by `(config-epoch, stmt,
     /// CanonId)` in the run-wide [`psa_rsg::intern::TransferCache`]. Any
     /// graph already transferred under a statement — in an earlier worklist
-    /// iteration, on another fan-out thread, or in a previous run over the
-    /// same function and config on a shared [`ShapeCtx`] — is answered by a
-    /// lookup. Disable for the reference recompute-everything behaviour the
-    /// differential suite compares against.
+    /// iteration, or in a previous run over the same function and config on
+    /// a shared [`ShapeCtx`] — is answered by a lookup. Disable for the
+    /// reference recompute-everything behaviour the differential suite
+    /// compares against.
     pub transfer_cache: bool,
     /// Delta-driven statement re-transfer: when a statement's input set has
     /// only *grown by appends* since its last transfer (old CanonId vector
@@ -106,9 +93,6 @@ impl Default for EngineConfig {
         EngineConfig {
             level: Level::L1,
             budget: Budget::default(),
-            parallel: false,
-            parallel_threshold: 8,
-            parallel_threads: None,
             widen_cap: 12,
             sharing_relaxation: true,
             pessimistic_sharing: false,
@@ -420,7 +404,7 @@ pub struct Engine<'a> {
     /// Set by the call transfer when an interprocedural summary had to
     /// give up; `run_inner` converts it into a soft stop exactly like the
     /// RSG/deadline caps. A `Cell` because the transfer path only holds
-    /// `&self` (call transfers never run on fan-out workers).
+    /// `&self`.
     interproc_stop: std::cell::Cell<Option<InterprocReason>>,
 }
 
@@ -457,8 +441,7 @@ impl<'a> Engine<'a> {
 
     /// A nested engine for one summary computation: runs a callee body over
     /// the caller's universe and shared tables, starting from a prepared
-    /// call-entry RSRSG. Always sequential (the outer run owns any
-    /// parallelism) and bounded by whatever wall-clock remains of the outer
+    /// call-entry RSRSG, bounded by whatever wall-clock remains of the outer
     /// deadline (the caller fixes up `config.budget.deadline`).
     pub(crate) fn nested(
         ir: &'a FuncIr,
@@ -564,19 +547,18 @@ impl<'a> Engine<'a> {
 
     /// Run to the fixed point (or to a budget cap; see [`Budget`]).
     ///
-    /// Panic-free: any panic on the analysis path — including one raised on
-    /// a fan-out worker thread — is contained here and converted to
-    /// [`AnalysisError::Internal`]. The shared tables recover from mutex
-    /// poisoning ([`psa_rsg::lock_recover`]) and the cancellation token is
-    /// reset on entry, so a failed run never poisons a later run on the
-    /// same [`ShapeCtx`].
+    /// Panic-free: any panic on the analysis path is contained here and
+    /// converted to [`AnalysisError::Internal`]. The shared tables recover
+    /// from mutex poisoning ([`psa_rsg::lock_recover`]) and the cancellation
+    /// token is reset on entry, so a failed run never poisons a later run on
+    /// the same [`ShapeCtx`].
     pub fn run(&self) -> Result<AnalysisResult, AnalysisError> {
         self.ctx.tables.cancel.reset();
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_inner())) {
             Ok(r) => r,
             Err(payload) => {
-                // A worker panic may have set the token to stop its peers;
-                // clear it so the tables stay usable.
+                // A panic may have unwound past a raised token; clear it
+                // so the tables stay usable.
                 self.ctx.tables.cancel.reset();
                 let message = if let Some(s) = payload.downcast_ref::<&str>() {
                     (*s).to_string()
@@ -761,10 +743,10 @@ impl<'a> Engine<'a> {
                     }
                 }
                 if stopped.is_none() {
-                    // The fold loops and fan-out workers raise the token
-                    // when a cap trips mid-statement; recover the recorded
-                    // cause instead of blaming whichever cap is polled
-                    // first (the deadline, historically).
+                    // The fold loops raise the token when a cap trips
+                    // mid-statement; recover the recorded cause instead of
+                    // blaming whichever cap is polled first (the deadline,
+                    // historically).
                     match cancel.cause() {
                         Some(CancelCause::TableBytes) => {
                             stopped = Some(BudgetKind::TableBytes {
@@ -1017,13 +999,7 @@ impl<'a> Engine<'a> {
         // against.
         if !self.config.transfer_cache && !self.config.delta_transfer {
             let mut out = match action {
-                GraphAction::Ptr(p) => {
-                    if self.config.parallel && cur.len() >= self.parallel_threshold() {
-                        self.transfer_parallel(&cur, p, &tcx, stats)
-                    } else {
-                        transfer_rsrsg(&cur, p, &tcx, stats)
-                    }
-                }
+                GraphAction::Ptr(p) => transfer_rsrsg(&cur, p, &tcx, stats),
                 GraphAction::Scalar(v, k) => transfer_scalar(&cur, v, k, &self.ctx, level),
             };
             out.widen(&self.ctx, level, cap);
@@ -1080,9 +1056,7 @@ impl<'a> Engine<'a> {
 
     /// Transfer `input.graphs()[skip..]` through the (possibly memoized)
     /// per-graph transfer and fold the compressed, interned outputs into
-    /// `out` in input order. Fans out across scoped threads with dynamic
-    /// work claiming when the slice is large enough and
-    /// [`EngineConfig::parallel`] is set.
+    /// `out` in input order.
     #[allow(clippy::too_many_arguments)]
     fn fold_transfer(
         &self,
@@ -1103,191 +1077,16 @@ impl<'a> Engine<'a> {
             .metrics
             .delta_graphs_transferred
             .fetch_add(graphs.len() as u64, Ordering::Relaxed);
-        if self.config.parallel && graphs.len() >= self.parallel_threshold() {
-            // Dynamic work claiming: a shared atomic index hands one graph
-            // at a time to whichever worker is free, so one pathological
-            // graph no longer serializes a whole static chunk. Results are
-            // merged in input order, keeping the fold deterministic.
-            let nthreads = self.fanout_threads(graphs.len());
-            let next = AtomicUsize::new(0);
-            let mut partials: Vec<TransferPartial> = std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for _ in 0..nthreads {
-                    let next = &next;
-                    // Workers share `ctx` by reference, and through it
-                    // the run-wide interner/memo tables (all `Sync`).
-                    let tctx = TransferCtx {
-                        ctx: tcx.ctx,
-                        level: tcx.level,
-                        active_ipvars: tcx.active_ipvars,
-                        sharing_relaxation: tcx.sharing_relaxation,
-                        pessimistic_sharing: tcx.pessimistic_sharing,
-                        reference_prune: tcx.reference_prune,
-                        deadline: tcx.deadline,
-                        table_bytes_limit: tcx.table_bytes_limit,
-                        stmt: tcx.stmt,
-                    };
-                    handles.push(scope.spawn(move || {
-                        let mut claimed = Vec::new();
-                        loop {
-                            // Honor cooperative cancellation between claims:
-                            // a tripped budget or a panicked peer stops the
-                            // fan-out without abandoning claimed results.
-                            if tctx.should_stop() {
-                                break;
-                            }
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= graphs.len() {
-                                break;
-                            }
-                            let mut local = AnalysisStats::default();
-                            let outs = transfer_one_cached(
-                                &graphs[i],
-                                &entries[i],
-                                action,
-                                slot,
-                                epoch,
-                                use_memo,
-                                &tctx,
-                                &mut local,
-                            );
-                            claimed.push((i, outs, local));
-                        }
-                        claimed
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .flat_map(|h| match h.join() {
-                        Ok(claimed) => claimed,
-                        Err(payload) => {
-                            // Stop the remaining workers, then re-raise so
-                            // the catch_unwind at the `run()` boundary turns
-                            // this into `AnalysisError::Internal`.
-                            tcx.ctx.tables.cancel.cancel();
-                            std::panic::resume_unwind(payload)
-                        }
-                    })
-                    .collect()
-            });
-            partials.sort_by_key(|(i, _, _)| *i);
-            for (_, outs, local) in partials {
-                for w in local.warnings {
-                    stats.warn(w);
-                }
-                stats.revisits.extend(local.revisits);
-                for (g, e) in outs {
-                    out.insert_compressed(g, e, &self.ctx, tcx.level);
-                }
+        for (g, e) in graphs.iter().zip(entries) {
+            if tcx.should_stop() {
+                break;
             }
-        } else {
-            for (g, e) in graphs.iter().zip(entries) {
-                if tcx.should_stop() {
-                    break;
-                }
-                for (og, oe) in transfer_one_cached(g, e, action, slot, epoch, use_memo, tcx, stats)
-                {
-                    out.insert_compressed(og, oe, &self.ctx, tcx.level);
-                }
+            for (og, oe) in transfer_one_cached(g, e, action, slot, epoch, use_memo, tcx, stats) {
+                out.insert_compressed(og, oe, &self.ctx, tcx.level);
             }
         }
-    }
-
-    fn parallel_threshold(&self) -> usize {
-        self.config.parallel_threshold.max(2)
-    }
-
-    /// Worker count for a fan-out over `width` graphs: the configured
-    /// override, or the machine's available parallelism, capped at the
-    /// fan-out width (spawning more workers than graphs is pure overhead).
-    fn fanout_threads(&self, width: usize) -> usize {
-        self.config
-            .parallel_threads
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
-            })
-            .max(1)
-            .min(width)
-    }
-
-    /// Reference fan-out (memo and delta both off): per-graph transfers
-    /// across scoped threads with dynamic work claiming, raw outputs
-    /// re-unioned in input order.
-    fn transfer_parallel(
-        &self,
-        input: &Rsrsg,
-        ptr: &psa_ir::PtrStmt,
-        tcx: &TransferCtx<'_>,
-        stats: &mut AnalysisStats,
-    ) -> Rsrsg {
-        use crate::semantics::transfer_one;
-        let graphs = input.graphs();
-        let nthreads = self.fanout_threads(graphs.len());
-        let next = AtomicUsize::new(0);
-        let mut partials: Vec<(usize, Vec<Rsg>, AnalysisStats)> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for _ in 0..nthreads {
-                let next = &next;
-                let tctx = TransferCtx {
-                    ctx: tcx.ctx,
-                    level: tcx.level,
-                    active_ipvars: tcx.active_ipvars,
-                    sharing_relaxation: tcx.sharing_relaxation,
-                    pessimistic_sharing: tcx.pessimistic_sharing,
-                    reference_prune: tcx.reference_prune,
-                    deadline: tcx.deadline,
-                    table_bytes_limit: tcx.table_bytes_limit,
-                    stmt: tcx.stmt,
-                };
-                handles.push(scope.spawn(move || {
-                    let mut claimed = Vec::new();
-                    loop {
-                        if tctx.should_stop() {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= graphs.len() {
-                            break;
-                        }
-                        let mut local = AnalysisStats::default();
-                        let outs = transfer_one(&graphs[i], ptr, &tctx, &mut local);
-                        claimed.push((i, outs, local));
-                    }
-                    claimed
-                }));
-            }
-            handles
-                .into_iter()
-                .flat_map(|h| match h.join() {
-                    Ok(claimed) => claimed,
-                    Err(payload) => {
-                        tcx.ctx.tables.cancel.cancel();
-                        std::panic::resume_unwind(payload)
-                    }
-                })
-                .collect()
-        });
-        partials.sort_by_key(|(i, _, _)| *i);
-        let mut out = Rsrsg::new();
-        for (_, outs, local_stats) in partials {
-            for w in local_stats.warnings {
-                stats.warn(w);
-            }
-            stats.revisits.extend(local_stats.revisits);
-            for g in outs {
-                out.insert(g, tcx.ctx, tcx.level);
-            }
-        }
-        out
     }
 }
-
-/// One worker's share of a dynamically-claimed fan-out: the claimed graph
-/// index (for order-preserving merge), its transfer outputs, and the
-/// thread-local stat deltas.
-type TransferPartial = (usize, Vec<(Arc<Rsg>, CanonEntry)>, AnalysisStats);
 
 /// The last transfer of one statement, for the delta worklist: the input
 /// member ids it saw, and its output ids before and after widening.
@@ -1459,30 +1258,6 @@ mod tests {
             }
         }
         assert!(checked, "expected at least one multi-element DLL graph");
-    }
-
-    #[test]
-    fn parallel_and_sequential_agree() {
-        let (p, t) = parse_and_type(LIST_BUILD).unwrap();
-        let ir = lower_main(&p, &t).unwrap();
-        let seq = Engine::new(&ir, EngineConfig::at_level(Level::L1))
-            .run()
-            .unwrap();
-        let par = Engine::new(
-            &ir,
-            EngineConfig {
-                level: Level::L1,
-                parallel: true,
-                parallel_threshold: 1,
-                ..Default::default()
-            },
-        )
-        .run()
-        .unwrap();
-        assert!(seq.exit.same_as(&par.exit));
-        for (a, b) in seq.after_stmt.iter().zip(&par.after_stmt) {
-            assert!(a.same_as(b));
-        }
     }
 
     #[test]

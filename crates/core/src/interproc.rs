@@ -727,9 +727,9 @@ fn internal_leak(callee: &CalleeFunc, exits: &[CanonId], ctx: &ShapeCtx) -> bool
     })
 }
 
-/// One pass of the nested engine over the callee body. Sequential, on the
-/// shared tables, bounded by the wall-clock remaining of the outer
-/// deadline. Any degradation, stop, or hard budget error inside the callee
+/// One pass of the nested engine over the callee body, on the shared
+/// tables, bounded by the wall-clock remaining of the outer deadline. Any
+/// degradation, stop, or hard budget error inside the callee
 /// surfaces as [`InterprocReason::NestedStop`] — a partial exit set is an
 /// under-approximation the caller must never consume.
 fn run_callee_once(
@@ -739,7 +739,6 @@ fn run_callee_once(
     deadline: Option<Instant>,
 ) -> Result<crate::engine::AnalysisResult, InterprocReason> {
     let mut config = eng.config().clone();
-    config.parallel = false;
     if let Some(dl) = deadline {
         let remaining = dl.saturating_duration_since(Instant::now());
         if remaining.is_zero() {

@@ -455,6 +455,17 @@ impl AnalysisReport {
 
 /// Build the report for a finished analysis.
 pub fn build_report(ir: &FuncIr, result: &AnalysisResult) -> AnalysisReport {
+    build_report_with_memory(ir, result, &crate::memsafe::memory_report(ir, result))
+}
+
+/// [`build_report`] over a memory-safety report the caller already derived
+/// from the same `ir` and `result`, so `--check memory --json` runs the
+/// memory dataflow once.
+pub fn build_report_with_memory(
+    ir: &FuncIr,
+    result: &AnalysisResult,
+    memory: &crate::memsafe::MemReport,
+) -> AnalysisReport {
     let mut pvars = Vec::new();
     for (i, pv) in ir.pvars.iter().enumerate() {
         if pv.is_temp {
@@ -524,9 +535,7 @@ pub fn build_report(ir: &FuncIr, result: &AnalysisResult) -> AnalysisReport {
             .collect(),
         trace: None,
         asserts: Vec::new(),
-        memory: Some(MemorySection::from_report(&crate::memsafe::memory_report(
-            ir, result,
-        ))),
+        memory: Some(MemorySection::from_report(memory)),
         calls: result
             .stats
             .call_sites

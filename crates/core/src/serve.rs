@@ -9,7 +9,7 @@
 //! previously analyzed program replays memoized transfers instead of
 //! recomputing them. Per-request state (metrics, cancellation, trace
 //! journal) is isolated through [`SharedTables::session`], so one
-//! request's budget cancelling cannot stop another's fan-out and
+//! request's budget cancelling cannot stop another request's run and
 //! per-request reports never accumulate another request's counters.
 //!
 //! # Protocol
@@ -54,16 +54,13 @@ use std::io::{BufRead, Write};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
-/// Engine knobs fixed for the server's lifetime (per-request knobs —
-/// level, budget, trace — arrive in each request's params).
+/// Server-lifetime options. It carries no knobs: every engine knob —
+/// level, budget, trace — arrives in each request's params. It stays as
+/// [`Server::new`]'s argument only because the benchmark harness
+/// (`perfbench/harness/src/serve.rs`) constructs it; both go with the next
+/// change to the benchmark.
 #[derive(Debug, Clone, Default)]
-pub struct ServeOptions {
-    /// Parallel per-graph transfers inside each request.
-    pub parallel: bool,
-    /// Worker threads for the parallel fan-out (`None` = available
-    /// parallelism).
-    pub parallel_threads: Option<usize>,
-}
+pub struct ServeOptions {}
 
 /// Signature of the last program analyzed under a `key`, for `reanalyze`
 /// diffing. Statement signatures use the same content rendering as the
@@ -84,22 +81,20 @@ struct ServerTotals {
 /// and the in-process session tests drive it directly).
 pub struct Server {
     tables: RwLock<Arc<SharedTables>>,
-    options: ServeOptions,
     programs: Mutex<HashMap<String, CachedProgram>>,
     totals: Mutex<ServerTotals>,
 }
 
 impl Server {
     /// A server over fresh (cold) tables.
-    pub fn new(options: ServeOptions) -> Server {
-        Server::with_tables(Arc::new(SharedTables::new()), options)
+    pub fn new(_options: ServeOptions) -> Server {
+        Server::with_tables(Arc::new(SharedTables::new()))
     }
 
     /// A server over pre-warmed tables (e.g. restored from a snapshot).
-    pub fn with_tables(tables: Arc<SharedTables>, options: ServeOptions) -> Server {
+    pub fn with_tables(tables: Arc<SharedTables>) -> Server {
         Server {
             tables: RwLock::new(tables),
-            options,
             programs: Mutex::new(HashMap::new()),
             totals: Mutex::new(ServerTotals {
                 requests: 0,
@@ -236,8 +231,6 @@ impl Server {
             function,
             level: Some(level),
             budget,
-            parallel: self.options.parallel,
-            parallel_threads: self.options.parallel_threads,
             inline: true,
             trace,
             tables: Some(Arc::clone(&session)),

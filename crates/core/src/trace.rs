@@ -106,7 +106,7 @@ fn lock_table_name(code: u64) -> &'static str {
 ///
 /// Spans become `ph:"X"` complete events and instants `ph:"i"`
 /// thread-scoped instant events; every track additionally gets a
-/// `thread_name` metadata record so the viewer labels the worker lanes.
+/// `thread_name` metadata record so the viewer labels each thread's lane.
 /// Timestamps and durations are microseconds (the format's native unit)
 /// with nanosecond precision preserved in the fraction.
 pub fn chrome_trace_json(events: &[TraceEvent]) -> Json {

@@ -17,8 +17,8 @@
 //! * [`TransferCache`] — a `(config-epoch, statement, CanonId) → outputs`
 //!   memo for abstract statement transfer. Transfer is deterministic per
 //!   input graph, so any graph already transferred under a statement (in a
-//!   previous worklist iteration, by another fan-out worker, or by an
-//!   earlier engine run sharing the tables) is answered by lookup. Entries
+//!   previous worklist iteration, or by an earlier engine run sharing the
+//!   tables) is answered by lookup. Entries
 //!   record the diagnostics (warnings, TOUCH revisits) the original
 //!   transfer produced so a hit replays them;
 //! * [`Fingerprint`] — a constant-size structural summary (pvar domain,
@@ -35,15 +35,15 @@
 //!   that the engine snapshots into its per-run statistics;
 //! * [`SharedTables`] — the bundle of all three, carried by
 //!   [`crate::ShapeCtx`] behind an `Arc` so the engine worklist, the
-//!   scoped-thread fan-out path and the progressive L1→L2→L3 driver all
+//!   progressive L1→L2→L3 driver and concurrent `psa serve` sessions all
 //!   share one table set.
 //!
 //! # Sharding (DESIGN.md §12)
 //!
 //! All three tables are **lock-striped**: entries are distributed over
 //! [`TABLE_SHARDS`] segments by key hash, each behind its own `Mutex`, so
-//! parallel fan-out workers interning or memoizing different keys no
-//! longer convoy on one global lock. The interner additionally resolves
+//! concurrent `psa serve` requests interning or memoizing different keys
+//! do not convoy on one global lock. The interner additionally resolves
 //! ids **without any lock**: minted entries go into an append-only
 //! segmented slab of `OnceLock` slots, filled *before* the id is published
 //! (inserted into a shard map / returned to a caller), so every id a
@@ -68,8 +68,8 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Number of lock stripes per shared table. A power of two so shard
-/// selection is a mask; 16 covers any plausible fan-out width while
-/// keeping the per-table footprint trivial.
+/// selection is a mask; 16 covers the concurrent `psa serve` sessions
+/// while keeping the per-table footprint trivial.
 pub const TABLE_SHARDS: usize = 16;
 
 /// Table code carried as `arg` by [`TraceKind::LockWait`] events: the
@@ -299,8 +299,8 @@ impl Default for Interner {
     }
 }
 
-/// Lock a mutex, recovering from poisoning. A panicking worker thread must
-/// not wedge the whole analysis: every critical section in the shared
+/// Lock a mutex, recovering from poisoning. A panic in one analysis (say, a
+/// `psa serve` request thread) must not wedge the tables it shares: every critical section in the shared
 /// tables is a single map operation, so the protected data stays consistent
 /// even when the panic unwound through it. All lock sites in the analysis —
 /// here and in downstream crates — go through this helper or
@@ -345,8 +345,7 @@ fn lock_timed<'a, T>(
 /// mid-statement cancellation when one was set).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CancelCause {
-    /// Raised by `cancel()` without a stated cause (worker panic, caller
-    /// request).
+    /// Raised by `cancel()` without a stated cause (a caller request).
     External,
     /// The wall-clock deadline passed.
     Deadline,
@@ -385,12 +384,11 @@ impl CancelCause {
     }
 }
 
-/// Cooperative cancellation token shared by the engine worklist, the
-/// parallel fan-out workers, and the statement-transfer fold loops. Raised
-/// when a soft resource budget (RSGs per statement, table bytes, deadline)
-/// trips or when a fan-out worker panics; every loop that honors it stops
-/// claiming work and lets the engine surface a partial, `degraded`-marked
-/// result instead of running on. The token remembers *why* it was raised
+/// Cooperative cancellation token shared by the engine worklist and the
+/// statement-transfer fold loops. Raised when a soft resource budget (RSGs
+/// per statement, table bytes, deadline) trips; every loop that honors it
+/// stops and lets the engine surface a partial, `degraded`-marked result
+/// instead of running on. The token remembers *why* it was raised
 /// (first cause wins) so the engine reports the true stop reason.
 #[derive(Debug, Default)]
 pub struct CancelToken {
@@ -1385,7 +1383,7 @@ pub struct SharedTables {
     /// Op-level counters (per handle; see [`SharedTables::session`]).
     pub metrics: OpMetrics,
     /// Cooperative cancellation flag, observed by the engine worklist and
-    /// the parallel fan-out workers. Reset by each `Engine::run` so one
+    /// the statement-transfer fold loops. Reset by each `Engine::run` so one
     /// cancelled run does not poison the next run sharing these tables.
     /// Per handle: sessions cancel independently.
     pub cancel: CancelToken,

@@ -6,18 +6,11 @@
 //! ```text
 //! cargo run --release --example bench_report            # full sizes
 //! cargo run --release --example bench_report -- --quick # CI smoke sizes
-//! cargo run --release --example bench_report -- --threads 1,2,4,8
 //! ```
 //!
 //! `--quick` writes `BENCH_fixpoint_quick.json` instead, so the committed
 //! quick reference survives a CI run and `scripts/bench_diff` always
 //! compares reports produced at the same sizes.
-//!
-//! `--threads N,N,...` appends a thread-scaling sweep: the incremental
-//! engine with the parallel fan-out pinned to each worker count
-//! ([`EngineConfig::parallel_threads`]), at L2 and L3 where the fan-out
-//! actually runs wide. Sweep rows carry a `"threads"` field so
-//! `scripts/bench_diff` keys them separately from the sequential rows.
 //!
 //! Every row records its cache state: `"cache": "cold"` rows start from
 //! fresh shared tables (the historical configuration), `"cache": "warm"`
@@ -61,37 +54,6 @@ fn time_run(
             level,
             transfer_cache: incremental,
             delta_transfer: incremental,
-            ..Default::default()
-        };
-        let start = Instant::now();
-        let res = Engine::new(ir, cfg).run();
-        best = best.min(start.elapsed());
-        out = Some(res);
-    }
-    (best, out.unwrap())
-}
-
-/// Best-of-N wall time for the incremental engine with the parallel
-/// fan-out pinned to `threads` workers. Fresh engine and tables per rep,
-/// like [`time_run`].
-fn time_parallel_run(
-    ir: &FuncIr,
-    level: Level,
-    threads: usize,
-    reps: usize,
-) -> (
-    Duration,
-    Result<AnalysisResult, psa::core::engine::AnalysisError>,
-) {
-    let mut best = Duration::MAX;
-    let mut out = None;
-    for _ in 0..reps {
-        let cfg = EngineConfig {
-            level,
-            transfer_cache: true,
-            delta_transfer: true,
-            parallel: true,
-            parallel_threads: Some(threads),
             ..Default::default()
         };
         let start = Instant::now();
@@ -178,22 +140,6 @@ fn kernel_breakdown(ir: &FuncIr, level: Level, incremental: bool) -> Json {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let threads: Vec<usize> = args
-        .iter()
-        .position(|a| a == "--threads")
-        .map(|i| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("--threads needs a comma-separated list, e.g. 1,2,4,8"))
-                .split(',')
-                .map(|t| {
-                    t.trim()
-                        .parse::<usize>()
-                        .unwrap_or_else(|_| panic!("--threads: `{t}` is not a number"))
-                        .max(1)
-                })
-                .collect()
-        })
-        .unwrap_or_default();
     let repeat: usize = args
         .iter()
         .position(|a| a == "--repeat")
@@ -327,77 +273,11 @@ fn main() {
         }
     }
 
-    if !threads.is_empty() {
-        // L2/L3 only: L1 RSRSGs are narrow enough that the fan-out never
-        // exceeds a couple of graphs, so a thread sweep there times noise.
-        println!(
-            "\nthread-scaling sweep (incremental engine, pinned fan-out):\n\
-             {:<12} {:<4} {:>7} {:>12} {:>8} {:>14} {:>10}",
-            "code", "lvl", "threads", "wall", "vs-1T", "lock-wait", "contended"
-        );
-        for (name, src) in &codes {
-            let ir = ir_for(src);
-            for level in [Level::L2, Level::L3] {
-                let mut one_thread: Option<(Duration, AnalysisResult)> = None;
-                for &n in &threads {
-                    let (wall, res) = time_parallel_run(&ir, level, n, reps);
-                    let mut row = Json::obj();
-                    row.set("code", *name);
-                    row.set("level", level.to_string());
-                    row.set("threads", n as u64);
-                    row.set("cache", "cold");
-                    match res {
-                        Ok(a) => {
-                            if let Some((base, ref res1)) = one_thread {
-                                assert!(
-                                    a.exit.same_as(&res1.exit),
-                                    "thread-count changed the result"
-                                );
-                                row.set(
-                                    "speedup_vs_1thread",
-                                    base.as_secs_f64() / wall.as_secs_f64(),
-                                );
-                            }
-                            let ops = &a.stats.ops;
-                            println!(
-                                "{:<12} {:<4} {:>7} {:>12.2?} {:>7.2}x {:>14} {:>10}",
-                                name,
-                                level.to_string(),
-                                n,
-                                wall,
-                                one_thread
-                                    .as_ref()
-                                    .map(|(base, _)| base.as_secs_f64() / wall.as_secs_f64())
-                                    .unwrap_or(1.0),
-                                format!("{:.2?}", Duration::from_nanos(ops.lock_wait_ns())),
-                                ops.lock_contended(),
-                            );
-                            row.set("wall_ms_incremental", wall.as_secs_f64() * 1e3);
-                            row.set("ops", ops_to_json(ops));
-                            if n == 1 {
-                                one_thread = Some((wall, a));
-                            }
-                        }
-                        Err(_) => {
-                            println!("{:<12} {:<4} {:>7} err", name, level.to_string(), n);
-                            row.set("failed", true);
-                        }
-                    }
-                    rows.push(row);
-                }
-            }
-        }
-    }
-
     let mut root = Json::obj();
     root.set("benchmark", "fixpoint");
     root.set("quick", quick);
     root.set("reps", reps as u64);
     root.set("repeat_warm", repeat as u64);
-    root.set(
-        "threads_swept",
-        threads.iter().map(|n| *n as u64).collect::<Json>(),
-    );
     root.set("rows", rows);
     let path = if quick {
         "BENCH_fixpoint_quick.json"

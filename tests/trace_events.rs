@@ -1,6 +1,6 @@
 //! Integration tests for the run-wide tracing subsystem: Chrome-trace
 //! schema on the Fig. 1 doubly-linked list program, disabled-trace
-//! bit-identity, parallel-run event-count invariants, and cancel-cause
+//! bit-identity, journal event-count invariants, and cancel-cause
 //! attribution.
 
 use psa::core::trace::{chrome_trace_json, summarize};
@@ -11,10 +11,9 @@ fn dll_source() -> String {
     psa::codes::generators::dll_program(6)
 }
 
-fn options(trace: bool, parallel: bool) -> AnalysisOptions {
+fn options(trace: bool) -> AnalysisOptions {
     AnalysisOptions {
         trace,
-        parallel,
         ..AnalysisOptions::at_level(Level::L2)
     }
 }
@@ -22,7 +21,7 @@ fn options(trace: bool, parallel: bool) -> AnalysisOptions {
 #[test]
 fn chrome_trace_schema_on_fig1_dll() {
     let src = dll_source();
-    let analyzer = Analyzer::new(&src, options(true, false)).unwrap();
+    let analyzer = Analyzer::new(&src, options(true)).unwrap();
     let res = analyzer.run().unwrap();
     let events = analyzer.trace_events();
     assert!(!events.is_empty(), "traced run must record events");
@@ -80,8 +79,8 @@ fn chrome_trace_schema_on_fig1_dll() {
 #[test]
 fn disabled_trace_changes_nothing() {
     let src = dll_source();
-    let traced = Analyzer::new(&src, options(true, false)).unwrap();
-    let plain = Analyzer::new(&src, options(false, false)).unwrap();
+    let traced = Analyzer::new(&src, options(true)).unwrap();
+    let plain = Analyzer::new(&src, options(false)).unwrap();
     let rt = traced.run().unwrap();
     let rp = plain.run().unwrap();
 
@@ -113,25 +112,23 @@ fn disabled_trace_changes_nothing() {
 }
 
 #[test]
-fn parallel_run_event_invariants() {
+fn journal_event_invariants() {
     let src = dll_source();
-    let analyzer = Analyzer::new(&src, options(true, true)).unwrap();
+    let analyzer = Analyzer::new(&src, options(true)).unwrap();
     let res = analyzer.run().unwrap();
     let events = analyzer.trace_events();
 
-    // The transfer-span invariant holds regardless of which worker
-    // claimed each statement.
     let stmt_spans = events
         .iter()
         .filter(|e| e.kind == TraceKind::StmtTransfer)
         .count();
     assert_eq!(stmt_spans, res.stats.stmt_transfers);
 
-    // Kernel spans recorded by workers carry their own track ids; the
-    // journal stays time-sorted after the drain merge.
+    // Spans are pushed when they end but keyed by their start, so the
+    // drain must sort them back into time order.
     assert!(events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
     let summary = summarize(&events, Some(analyzer.ir()));
-    assert!(summary.threads >= 1);
+    assert_eq!(summary.threads, 1, "a run records from one thread");
     assert_eq!(summary.events, events.len());
     // Per-statement latency covers every traced statement.
     let spanned: usize = summary.per_stmt.values().map(|s| s.count as usize).sum();
